@@ -7,11 +7,23 @@ distance is ``<= c`` — so one pass yields the exact miss count for *every*
 cache size at once (the ground truth against which HOTL is validated,
 §VII-C).
 
-Algorithm: the classic offline Fenwick-tree (binary indexed tree) method.
-A position holds a 1 in the tree iff it is currently the most recent access
-of its block; the distance of an access at ``j`` whose previous occurrence
-is ``p`` is then the number of marked positions in ``(p, j)`` plus one.
-O(n log n) total.
+Algorithm: with ``p = prev[j]`` the previous access to the block accessed
+at ``j``, a position ``r`` in ``(p, j)`` repeats a block already seen in
+the window iff ``prev[r] > p``, and no ``r <= p`` can satisfy that, so
+
+    dist[j] = j - p - #{r < j : prev[r] > p}.
+
+Only reuse accesses (``prev >= 0``) can satisfy the predicate, so the
+count runs over them alone.  The dominating pairs ``(r, j)`` are counted
+bottom-up by divide and conquer over positions: at the level of width
+``w``, every aligned window of ``2w`` positions pairs its left half with
+its right half.  The left halves are sorted once, keyed by
+``window * n + prev``, and two ``searchsorted`` calls count, for every
+right-half access, the left-half accesses of its window with a larger
+``prev``.  Every pair ``r < j`` is split at exactly one level, so the
+per-level counts sum to the full count.  ``ceil(log2 n)`` levels of an
+O(n log n) sort give O(n log² n) time and O(n) extra memory, with no
+Python loop per access.
 """
 
 from __future__ import annotations
@@ -27,42 +39,42 @@ COLD: int = -1
 """Sentinel stack distance for a first (compulsory-miss) access."""
 
 
+def _blocks(trace: Trace | np.ndarray) -> np.ndarray:
+    if isinstance(trace, Trace):
+        return trace.blocks
+    arr = np.asarray(trace)
+    if arr.ndim != 1:
+        raise ValueError(f"trace must be 1-D block ids, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"trace must hold integer block ids, got dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def stack_distances(trace: Trace | np.ndarray) -> np.ndarray:
     """Exact LRU stack distance of every access; first accesses get :data:`COLD`.
 
     Example: for the trace ``a b a`` the distances are ``[-1, -1, 2]``
     (the second ``a`` re-touches its block past one other distinct block).
+    Raises :class:`ValueError` for an array that is not 1-D or not of an
+    integer dtype.
     """
-    blocks = trace.blocks if isinstance(trace, Trace) else np.ascontiguousarray(trace, np.int64)
+    blocks = _blocks(trace)
     n = int(blocks.size)
-    dist = np.full(n, COLD, dtype=np.int64)
-    if n == 0:
-        return dist
     prev = previous_occurrence(blocks)
-    tree = np.zeros(n + 1, dtype=np.int64)  # Fenwick over positions 1..n
-
-    def add(pos: int, delta: int) -> None:
-        i = pos + 1
-        while i <= n:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix(pos: int) -> int:
-        # sum of marks at positions 0..pos
-        i = pos + 1
-        s = 0
-        while i > 0:
-            s += tree[i]
-            i -= i & (-i)
-        return int(s)
-
-    for j in range(n):
-        p = int(prev[j])
-        if p >= 0:
-            # marked positions strictly between p and j, plus the block itself
-            dist[j] = prefix(j - 1) - prefix(p) + 1
-            add(p, -1)
-        add(j, 1)
+    dist = np.full(n, COLD, dtype=np.int64)
+    pos = np.flatnonzero(prev >= 0)  # reuse accesses, in trace order
+    p = prev[pos]
+    dominated = np.zeros(pos.size, dtype=np.int64)
+    w = 1
+    while w < n:
+        window = pos // (2 * w) * n  # key offset of each access's window
+        right = (pos & w) != 0
+        keys = np.sort(window[~right] + p[~right])
+        lo = np.searchsorted(keys, window[right] + p[right], side="right")
+        hi = np.searchsorted(keys, window[right] + n, side="left")
+        dominated[right] += hi - lo
+        w *= 2
+    dist[pos] = pos - p - dominated
     return dist
 
 

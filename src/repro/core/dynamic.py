@@ -11,10 +11,12 @@ Pipeline:
 * :func:`plan_static` — one DP over whole-trace profiles (the paper's
   §VII setting);
 * :func:`plan_dynamic` — per-epoch profiles → per-epoch DP allocations;
-* :func:`simulate_plan` — exact trace-driven evaluation of any epoch
-  plan.  An access hits iff its LRU stack distance fits the allocation
-  of *its* epoch — the standard variable-capacity LRU semantics (a
-  shrinking partition evicts from the LRU end; a growing one fills).
+* :func:`simulate_plan` / :func:`simulate_plans` — exact trace-driven
+  evaluation of one epoch plan, or of several from one stack-distance
+  pass per trace.  An access hits iff its LRU stack distance fits the
+  allocation of *its* epoch — the standard variable-capacity LRU
+  semantics (a shrinking partition evicts from the LRU end; a growing
+  one fills).
 
 On phase-opposed workloads the dynamic plan recovers (and with fine
 epochs exceeds) the partition-sharing advantage, while on steady
@@ -35,7 +37,7 @@ from repro.locality.mrc import MissRatioCurve
 from repro.locality.phases import epoch_profiles
 from repro.workloads.trace import Trace
 
-__all__ = ["EpochPlan", "plan_static", "plan_dynamic", "simulate_plan"]
+__all__ = ["EpochPlan", "plan_static", "plan_dynamic", "simulate_plan", "simulate_plans"]
 
 
 @dataclass(frozen=True)
@@ -151,30 +153,39 @@ class PlanResult:
 
 
 def simulate_plan(traces: Sequence[Trace], plan: EpochPlan) -> PlanResult:
-    """Exact per-access evaluation of a repartitioning schedule.
+    """Exact per-access evaluation of one repartitioning schedule."""
+    return simulate_plans(traces, [plan])[0]
 
-    Each program's stack distances are computed once; an access at
-    position ``i`` (epoch ``i // epoch_length``) hits iff its distance is
-    at most that epoch's allocation.
+
+def simulate_plans(
+    traces: Sequence[Trace], plans: Sequence[EpochPlan]
+) -> tuple[PlanResult, ...]:
+    """Exact per-access evaluation of several schedules over the same traces.
+
+    Each program's stack distances are computed once and every plan is
+    scored from them; an access at position ``i`` (epoch
+    ``i // epoch_length``) hits iff its distance is at most that epoch's
+    allocation.  Every plan is checked before any distance is computed.
     """
-    if plan.n_programs != len(traces):
-        raise ValueError("plan must cover every program")
-    misses = np.zeros(len(traces), dtype=np.int64)
-    cold = np.zeros(len(traces), dtype=np.int64)
-    accesses = np.zeros(len(traces), dtype=np.int64)
+    for plan in plans:
+        if plan.n_programs != len(traces):
+            raise ValueError("plan must cover every program")
+        if any(len(t) > plan.n_epochs * plan.epoch_length for t in traces):
+            raise ValueError("plan has fewer epochs than the traces need")
+    shape = (len(plans), len(traces))
+    misses = np.zeros(shape, dtype=np.int64)
+    cold = np.zeros(shape, dtype=np.int64)
+    accesses = np.zeros(shape, dtype=np.int64)
     for p, tr in enumerate(traces):
         dist = stack_distances(tr)
-        epochs = np.arange(dist.size) // plan.epoch_length
-        if epochs.size and epochs[-1] >= plan.n_epochs:
-            raise ValueError("plan has fewer epochs than the traces need")
-        caps = plan.allocations[epochs, p]
-        is_cold = dist == COLD
-        misses[p] = int(np.sum(~is_cold & (dist > caps)))
-        cold[p] = int(np.sum(is_cold))
-        accesses[p] = dist.size
-    return PlanResult(
-        names=tuple(t.name for t in traces),
-        misses=misses,
-        cold_misses=cold,
-        accesses=accesses,
+        reuse = np.flatnonzero(dist != COLD)
+        cold[:, p] = dist.size - reuse.size
+        accesses[:, p] = dist.size
+        for k, plan in enumerate(plans):
+            caps = plan.allocations[reuse // plan.epoch_length, p]
+            misses[k, p] = int(np.count_nonzero(dist[reuse] > caps))
+    names = tuple(t.name for t in traces)
+    return tuple(
+        PlanResult(names=names, misses=misses[k], cold_misses=cold[k], accesses=accesses[k])
+        for k in range(len(plans))
     )

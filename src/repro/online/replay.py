@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.dynamic import PlanResult, EpochPlan, plan_dynamic, plan_static, simulate_plan
+from repro.core.dynamic import PlanResult, EpochPlan, plan_dynamic, plan_static, simulate_plans
 from repro.core.policy import ObjectivePolicy
 from repro.online.controller import AllocationDecision, ControllerConfig, OnlineController
 from repro.workloads.generators import cyclic, phased, uniform_random, zipf
@@ -240,9 +240,9 @@ def replay(
 
     plan = controller.plan()
     cb, L = config.cache_blocks, config.epoch_length
-    online = simulate_plan(traces, plan)
-    static = simulate_plan(traces, plan_static(traces, cb, L))
-    oracle = simulate_plan(traces, plan_dynamic(traces, cb, L))
+    online, static, oracle = simulate_plans(
+        traces, (plan, plan_static(traces, cb, L), plan_dynamic(traces, cb, L))
+    )
     controller.flight.set_epoch(None)
     controller.flight.emit(
         "replay_summary",

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cachesim.partitioned import simulate_partitioned
+from repro.cachesim.stack import COLD, stack_distances
+from repro.core import simulate_plans
 from repro.core.dynamic import EpochPlan, plan_dynamic, plan_static, simulate_plan
 from repro.workloads import cyclic, phased, uniform_random
 
@@ -112,3 +114,57 @@ def test_group_miss_ratio_accounting():
     res = simulate_plan(traces, plan)
     assert res.group_miss_ratio() == 0.0
     assert res.group_miss_ratio(include_cold=True) == pytest.approx(20 / 600)
+
+
+def _reference_misses(traces, plan):
+    """Per-plan scoring straight from the definition, one trace at a time."""
+    out = []
+    for p, tr in enumerate(traces):
+        dist = stack_distances(tr)
+        caps = plan.allocations[np.arange(dist.size) // plan.epoch_length, p]
+        out.append(int(np.sum((dist != COLD) & (dist > caps))))
+    return out
+
+
+def test_simulate_plans_matches_one_plan_at_a_time():
+    rng = np.random.default_rng(7)
+    traces = [
+        uniform_random(2400, 90, seed=1, name="u"),
+        cyclic(1700, 35, name="c"),
+        phased([cyclic(300, 50), uniform_random(300, 12, seed=2)], repeats=3, name="p"),
+    ]
+    plans = []
+    for epoch_length in (1, 97, 250, 2400):
+        n_epochs = -(-max(len(t) for t in traces) // epoch_length) + int(rng.integers(0, 3))
+        plans.append(EpochPlan(rng.integers(0, 100, (n_epochs, len(traces))), epoch_length))
+    results = simulate_plans(traces, plans)
+    assert len(results) == len(plans)
+    for plan, res in zip(plans, results):
+        alone = simulate_plan(traces, plan)
+        assert res.names == alone.names == ("u", "c", "p")
+        for field in ("misses", "cold_misses", "accesses"):
+            assert np.array_equal(getattr(res, field), getattr(alone, field))
+        assert res.misses.tolist() == _reference_misses(traces, plan)
+        assert res.accesses.tolist() == [len(t) for t in traces]
+        assert res.cold_misses.tolist() == [t.data_size for t in traces]
+
+
+def test_simulate_plans_no_plans():
+    assert simulate_plans([cyclic(100, 10)], []) == ()
+
+
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        (EpochPlan(np.full((5, 1), 10), 100), "plan must cover every program"),
+        (EpochPlan(np.full((4, 2), 10), 100), "plan has fewer epochs than the traces need"),
+    ],
+)
+def test_simulate_plans_raises_like_simulate_plan(plan, message):
+    traces = [cyclic(500, 10), cyclic(300, 10)]
+    good = EpochPlan(np.full((5, 2), 10), 100)
+    with pytest.raises(ValueError, match=message):
+        simulate_plan(traces, plan)
+    for plans in ([plan], [good, plan], [plan, good]):
+        with pytest.raises(ValueError, match=message):
+            simulate_plans(traces, plans)
