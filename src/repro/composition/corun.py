@@ -17,6 +17,7 @@ misses).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,8 +61,10 @@ def solve_fill_window(composed: ComposedFootprint, cache_size: float) -> float:
     The composed footprint is continuous, non-decreasing and piecewise
     linear, so bisection converges unconditionally.  Returns
     ``composed.max_window`` when the cache exceeds the combined data size
-    (the group never fills it).
+    (the group never fills it).  A ``NaN`` cache size raises ``ValueError``.
     """
+    if math.isnan(cache_size):
+        raise ValueError("cache_size is NaN")
     if cache_size <= 0:
         return 0.0
     hi = composed.max_window
@@ -128,11 +131,8 @@ class CorunSolver:
             else:
                 # footprints are near-concave: a dense-near-zero log grid
                 # approximates the piecewise-linear curve to high accuracy
-                v = np.unique(
-                    np.round(
-                        np.geomspace(1.0, v_max, _KNOTS_PER_PROGRAM)
-                    )
-                )
+                # (its rounding duplicates go in the union's np.unique)
+                v = np.round(np.geomspace(1.0, v_max, _KNOTS_PER_PROGRAM))
                 v = np.concatenate([[0.0], v])
             knots.append(v / r)
         grid = np.unique(np.concatenate(knots))
@@ -140,10 +140,22 @@ class CorunSolver:
         self._w_grid = grid
         self._fp_grid = np.asarray(self.composed(grid), dtype=np.float64)
         self._n_accesses = np.array([fp.n for fp in self.footprints], dtype=np.int64)
+        # w* at max_cache, solved on first use: the sweep asks for it three
+        # times per group (prediction, its fill window, natural units)
+        self._w_at_max: float | None = None
 
     def fill_windows(self, cache_sizes: np.ndarray | float) -> np.ndarray | float:
         """Vectorized ``w*`` solve: combined window filling each cache size."""
+        if isinstance(cache_sizes, (float, int)) and cache_sizes == self.max_cache:
+            if self._w_at_max is None:
+                self._w_at_max = float(self._solve_windows(float(cache_sizes)))
+            return self._w_at_max
+        return self._solve_windows(cache_sizes)
+
+    def _solve_windows(self, cache_sizes: np.ndarray | float) -> np.ndarray | float:
         c = np.asarray(cache_sizes, dtype=np.float64)
+        if np.isnan(c).any():
+            raise ValueError("cache sizes contain NaN")
         if np.any(c > self.max_cache + 1e-9):
             raise ValueError("cache size exceeds the solver's max_cache")
         fp_vals = self._fp_grid

@@ -14,7 +14,7 @@ instead of 1820 co-run measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +34,8 @@ class ComposedFootprint:
 
     footprints: tuple[FootprintCurve, ...]
     ratios: np.ndarray  # r_i / R, summing to 1
+    # the same ratios as Python floats, for the scalar evaluation path
+    _ratio_list: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         r = np.ascontiguousarray(self.ratios, dtype=np.float64)
@@ -43,6 +45,7 @@ class ComposedFootprint:
             raise ValueError("ratios must sum to 1")
         r.setflags(write=False)
         object.__setattr__(self, "ratios", r)
+        object.__setattr__(self, "_ratio_list", r.tolist())
 
     # ------------------------------------------------------------------
     @property
@@ -61,13 +64,25 @@ class ComposedFootprint:
 
     def components(self, w: float) -> np.ndarray:
         """Per-program stretched footprints ``fp_i(w * ratio_i)`` at window ``w``."""
+        w = float(w)
         return np.array(
-            [float(fp(w * r)) for fp, r in zip(self.footprints, self.ratios)],
+            [fp(w * r) for fp, r in zip(self.footprints, self._ratio_list)],
             dtype=np.float64,
         )
 
     def __call__(self, w: np.ndarray | float) -> np.ndarray | float:
-        """Group footprint ``fp(w)`` (Eq. 9)."""
+        """Group footprint ``fp(w)`` (Eq. 9).
+
+        A scalar ``w`` sums the stretched components left to right from
+        ``0.0`` in plain floats — the array path's order, so the result is
+        bit-identical to evaluating ``np.array([w])``.
+        """
+        if isinstance(w, (float, int)):
+            x = float(w)
+            total = 0.0
+            for fp, r in zip(self.footprints, self._ratio_list):
+                total = total + fp(x * r)
+            return total
         w_arr = np.asarray(w, dtype=np.float64)
         total = np.zeros_like(w_arr)
         for fp, r in zip(self.footprints, self.ratios):

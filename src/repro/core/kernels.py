@@ -20,14 +20,11 @@ Backends (registration order = catalog order):
   tile stays cache-resident on long grids;
 * ``oracle``    — the pure-Python double loop.  O(C²) interpreted —
   registered so the parity tests and the CI backend matrix can select it
-  like any other backend, but never auto-detected;
-* ``numba``     — an optional JIT of the double loop, registered only
-  when :mod:`numba` is importable (the dependency is *not* declared;
-  the backend simply appears when the host happens to have it).
+  like any other backend, but never the default.
 
 Selection: the active backend is resolved once at import from the
 ``REPRO_KERNEL`` environment variable (unknown names raise), falling
-back to auto-detection (``numba`` when available, else ``blocked``).
+back to ``blocked``.
 ``repro-cps --kernel <name>`` and :func:`set_kernel` re-select at
 runtime; :func:`register_kernel_metric` exposes the active name as the
 ``repro_kernel_backend_info`` gauge.
@@ -130,14 +127,11 @@ def detect_kernel(env: str | None = None) -> str:
 
     An explicit name must be registered (unknown names raise, loudly —
     a typo'd ``REPRO_KERNEL`` must not silently fall back to a slower
-    backend).  With no explicit choice: ``numba`` when its import
-    succeeded, else ``blocked``.
+    backend).  With no explicit choice: ``blocked``.
     """
     if env:
         get_kernel(env)
         return env
-    if "numba" in _KERNELS:
-        return "numba"
     return "blocked"
 
 
@@ -263,43 +257,6 @@ def oracle_convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return out, split
 
 
-# ---------------------------------------------------------------------------
-# numba — optional JIT backend, registered only when importable
-# ---------------------------------------------------------------------------
-
-
-def _try_register_numba() -> None:
-    try:
-        from numba import njit  # type: ignore[import-not-found]
-    except Exception:  # pragma: no cover - host-dependent
-        return
-
-    @njit(cache=True)  # pragma: no cover - exercised only where numba exists
-    def _numba_loop(a, b, out, split):  # type: ignore[no-untyped-def]
-        n = a.size
-        for k in range(n):
-            best = np.inf
-            arg = 0
-            for i in range(k + 1):
-                v = a[i] + b[k - i]
-                if v < best:
-                    best = v
-                    arg = i
-            out[k] = best
-            split[k] = arg
-
-    def _numba_convolve(  # pragma: no cover - host-dependent
-        a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        out = np.empty(a.size, dtype=np.float64)
-        split = np.empty(a.size, dtype=np.int64)
-        _numba_loop(a, b, out, split)
-        return out, split
-
-    register_kernel("numba")(_numba_convolve)
-
-
-_try_register_numba()
 _ACTIVE = detect_kernel(os.environ.get("REPRO_KERNEL"))
 
 

@@ -79,13 +79,34 @@ class FootprintCurve:
 
         Linear interpolation between integer window lengths; clamped to
         ``fp(n) = m`` beyond the trace length (the footprint saturates once
-        every datum has been seen).
+        every datum has been seen).  A ``NaN`` window raises ``ValueError``.
+
+        A ``float`` (Python or ``np.float64``) or ``int`` is evaluated in
+        plain-float arithmetic in the array path's operation order, so both
+        give IEEE-identical results; the scalar path skips NumPy's per-call
+        0-d overhead, which dominates the co-run fill-window bisection.
         """
+        if isinstance(w, (float, int)):
+            x = float(w)
+            if x != x:
+                raise ValueError("footprint window length is NaN")
+            n = self.n
+            if x < 0.0:
+                x = 0.0
+            elif x > n:
+                x = float(n)
+            lo = int(x)
+            hi = min(lo + 1, n)
+            v_lo = self.values.item(lo)
+            return v_lo + (x - lo) * (self.values.item(hi) - v_lo)
         w_arr = np.clip(np.asarray(w, dtype=np.float64), 0.0, float(self.n))
+        if np.isnan(w_arr).any():
+            raise ValueError("footprint window lengths contain NaN")
         lo = w_arr.astype(np.int64)
         hi = np.minimum(lo + 1, self.n)
         frac = w_arr - lo
-        out = self.values[lo] + frac * (self.values[hi] - self.values[lo])
+        v_lo = self.values[lo]
+        out = v_lo + frac * (self.values[hi] - v_lo)
         return float(out) if out.ndim == 0 else out
 
     def inverse(self, target: np.ndarray | float) -> np.ndarray | float:
@@ -93,8 +114,23 @@ class FootprintCurve:
 
         Values above ``m`` are mapped to ``n`` (the footprint never exceeds
         the total working set).  Piecewise-linear inverse of the monotone
-        curve.
+        curve.  A scalar takes a plain-float path, IEEE-identical to the
+        array path (see :meth:`__call__`).
         """
+        if isinstance(target, (float, int)):
+            t = float(target)
+            if t <= 0.0:
+                return 0.0
+            n = self.n
+            if t >= self.m:
+                return float(n)
+            lo = max(min(int(self.values.searchsorted(t)), n) - 1, 0)
+            f_lo = self.values.item(lo)
+            run = self.values.item(min(lo + 1, n)) - f_lo
+            exact = lo + ((t - f_lo) / run if run > 0 else 0.0)
+            if exact < 0.0:
+                return 0.0
+            return float(n) if exact > n else exact
         target = np.asarray(target, dtype=np.float64)
         # np.interp needs strictly usable x; fp is non-decreasing, possibly
         # with flat segments — take the earliest window achieving the target.

@@ -47,8 +47,17 @@ def miss_ratio(fp: FootprintCurve, c: np.ndarray | float) -> np.ndarray | float:
     """Steady-state miss ratio at cache size ``c`` blocks (Eqs. 8 and 10).
 
     Implemented as Eq. 10: ``mr(c) = fp(w + 1) - c`` with ``fp(w) = c``,
-    clipped to ``[0, 1]``.  Zero once ``c >= m``.
+    clipped to ``[0, 1]``.  Zero once ``c >= m``.  A scalar ``c`` is
+    evaluated in plain floats, IEEE-identical to the array path.
     """
+    if isinstance(c, (float, int)):
+        x = float(c)
+        if x >= fp.m:
+            return 0.0
+        mr = fp(fp.inverse(x) + 1.0) - x
+        if mr < 0.0:
+            return 0.0
+        return 1.0 if mr > 1.0 else mr
     c_arr = np.asarray(c, dtype=np.float64)
     w = np.asarray(fp.inverse(c_arr), dtype=np.float64)
     mr = np.asarray(fp(w + 1.0), dtype=np.float64) - c_arr

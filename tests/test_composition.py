@@ -1,7 +1,11 @@
 """Tests for footprint composition and the Natural Cache Partition (§IV, §V-A)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.composition.corun import (
     CorunSolver,
@@ -147,3 +151,94 @@ def test_compose_validates_input():
         ComposedFootprint(tuple(fps), np.array([0.4, 0.6]))
     with pytest.raises(ValueError):
         ComposedFootprint(tuple(fps), np.array([0.7]))
+
+
+# ------------------------------------------- scalar vs array bit-identity
+def _bits(x) -> int:
+    """The IEEE-754 bit pattern of one float64."""
+    return int(np.array([x], dtype=np.float64).view(np.int64)[0])
+
+
+_COMP = compose_footprints(
+    _fps(
+        zipf(300, 40, alpha=0.9, seed=12).with_rate(1.7),
+        uniform_random(500, 70, seed=13),
+        cyclic(200, 25).with_rate(0.6),
+    )
+)
+_W_MAX = _COMP.max_window
+
+
+@given(
+    st.one_of(
+        st.floats(allow_nan=False),
+        st.floats(min_value=-10.0 * _W_MAX, max_value=0.0),
+        st.floats(min_value=_W_MAX, max_value=1e12),
+        st.integers(0, int(_W_MAX)).map(float),
+        st.just(_W_MAX),
+        st.tuples(
+            st.integers(0, int(_W_MAX)), st.floats(min_value=5e-324, max_value=1e-9)
+        ).map(lambda t: t[0] + t[1]),
+        st.floats(min_value=0.0, max_value=_W_MAX),
+    )
+)
+@settings(max_examples=400)
+def test_composed_scalar_bit_identical_to_array_path(w):
+    ref = _COMP(np.array([w], dtype=np.float64))[0]
+    for scalar in (float(w), np.float64(w)):
+        out = _COMP(scalar)
+        assert type(out) is float
+        assert _bits(out) == _bits(ref)
+
+
+def _numpy_fill_window(composed, cache_size):
+    """The fill-window bisection with every probe evaluated as a 1-element
+    array, i.e. on the NumPy path only."""
+
+    def fp(w):
+        return composed(np.array([w], dtype=np.float64))[0]
+
+    if cache_size <= 0:
+        return 0.0
+    hi = composed.max_window
+    if composed.total_data <= cache_size or fp(hi) <= cache_size:
+        return hi
+    lo = 0.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if fp(mid) < cache_size:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-9 * max(hi, 1.0):
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_fill_window_bit_identical_to_numpy_bisection(mini_profile):
+    cfg = mini_profile.config
+    sizes = range(0, cfg.cache_blocks + 1, cfg.unit_blocks)
+    for group in combinations(mini_profile.footprints, cfg.group_size):
+        composed = compose_footprints(group)
+        for c in sizes:
+            got = solve_fill_window(composed, float(c))
+            assert _bits(got) == _bits(_numpy_fill_window(composed, float(c)))
+
+
+def test_solver_reuses_its_max_cache_window():
+    fps = _fps(uniform_random(2000, 120, seed=14), cyclic(2000, 80))
+    solver = CorunSolver(fps, max_cache=256)
+    w = solver.fill_windows(256)
+    assert _bits(w) == _bits(solver.fill_windows(np.array([256.0]))[0])
+    assert solver.fill_windows(256.0) == w
+    assert solver.predict(256).fill_window == w
+
+
+def test_nan_cache_size_raises_value_error():
+    fps = _fps(cyclic(300, 15), uniform_random(300, 20, seed=0))
+    with pytest.raises(ValueError, match="NaN"):
+        solve_fill_window(compose_footprints(fps), float("nan"))
+    solver = CorunSolver(fps, max_cache=30)
+    for bad in (float("nan"), np.array([1.0, np.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            solver.fill_windows(bad)

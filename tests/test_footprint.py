@@ -1,5 +1,7 @@
 """Tests for the linear-time average footprint (Eq. 5) and its inverse."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from repro.locality.footprint import (
     windowed_wss,
     wss_curve_direct,
 )
+from repro.locality.hotl import miss_ratio
 from repro.workloads import cyclic, sawtooth, uniform_random, zipf
 from repro.workloads.trace import Trace
 
@@ -135,3 +138,57 @@ def test_footprint_zipf_nearly_concave():
     second = np.diff(coarse, 2)
     assert float(np.mean(second > 1e-6)) < 0.10
     assert second.max() < 0.5
+
+
+# ------------------------------------------- scalar vs array bit-identity
+def _bits(x) -> int:
+    """The IEEE-754 bit pattern of one float64."""
+    return int(np.array([x], dtype=np.float64).view(np.int64)[0])
+
+
+_FP = average_footprint(zipf(400, 60, alpha=0.9, seed=11))
+_N = _FP.n
+
+
+def _grid_values(hi: float):
+    """Windows (or targets) over ``[0, hi]`` and past both ends: negative,
+    beyond ``hi``, integral, exactly ``hi``, tiny fractions, infinities."""
+    return st.one_of(
+        st.floats(allow_nan=False),
+        st.floats(min_value=-10.0 * hi, max_value=0.0),
+        st.floats(min_value=hi, max_value=1e12),
+        st.integers(0, int(hi)).map(float),
+        st.just(float(hi)),
+        st.tuples(
+            st.integers(0, int(hi)), st.floats(min_value=5e-324, max_value=1e-9)
+        ).map(lambda t: t[0] + t[1]),
+        st.floats(min_value=0.0, max_value=float(hi)),
+    )
+
+
+@given(_grid_values(_N))
+@settings(max_examples=400)
+def test_scalar_call_bit_identical_to_array_path(w):
+    ref = _FP(np.array([w], dtype=np.float64))[0]
+    for scalar in (float(w), np.float64(w)):
+        out = _FP(scalar)
+        assert type(out) is float
+        assert _bits(out) == _bits(ref)
+
+
+@given(_grid_values(_FP.m))
+@settings(max_examples=400)
+def test_scalar_inverse_and_miss_ratio_bit_identical(target):
+    inv = _FP.inverse(np.array([target], dtype=np.float64))[0]
+    mr = miss_ratio(_FP, np.array([target], dtype=np.float64))[0]
+    for scalar in (float(target), np.float64(target)):
+        assert _bits(_FP.inverse(scalar)) == _bits(inv)
+        assert _bits(miss_ratio(_FP, scalar)) == _bits(mr)
+
+
+def test_nan_window_raises_value_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        for bad in (float("nan"), np.float64("nan"), np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                _FP(bad)

@@ -50,7 +50,7 @@ def _random_instance(rng, size, inf_fraction, tie_quantum):
 def test_catalog_contains_the_builtin_backends():
     names = kernel_names()
     assert names[:3] == ("reference", "blocked", "oracle")
-    assert set(names) <= {"reference", "blocked", "oracle", "numba"}
+    assert set(names) <= {"reference", "blocked", "oracle"}
 
 
 def test_get_kernel_unknown_name_raises():
@@ -83,9 +83,9 @@ def test_detect_kernel_explicit_name_wins_and_typos_raise():
     assert detect_kernel("oracle") == "oracle"
     with pytest.raises(ValueError, match="unknown kernel backend"):
         detect_kernel("refrence")  # a typo must not silently fall back
-    # auto-detection never picks the interpreted oracle
-    assert detect_kernel(None) in ("numba", "blocked")
-    assert detect_kernel("") in ("numba", "blocked")
+    # with no explicit choice the default is blocked, never the oracle
+    assert detect_kernel(None) == "blocked"
+    assert detect_kernel("") == "blocked"
 
 
 def test_convolve_validates_shapes():

@@ -9,6 +9,30 @@ from repro.core.dp import optimal_partition
 from repro.core.sttw import sttw_partition
 
 
+def _sttw_oracle(costs, budget):
+    """The original ``np.argmax`` greedy loop, kept as the reference."""
+    curves = [np.ascontiguousarray(c, dtype=np.float64) for c in costs]
+    size = curves[0].size
+    if any(c.size != size for c in curves):
+        raise ValueError("all cost curves must have equal length")
+    if not 0 <= budget < size:
+        raise ValueError(f"budget must be within the curves' grid [0, {size - 1}]")
+    n_prog = len(curves)
+    # marginal gain of the next unit for program i at allocation c:
+    #   gains[i][c] = cost_i(c) - cost_i(c + 1)
+    gains = [c[:-1] - c[1:] for c in curves]
+    alloc = np.zeros(n_prog, dtype=np.int64)
+    current = np.array([g[0] if g.size else -np.inf for g in gains], dtype=np.float64)
+    for _ in range(budget):
+        i = int(np.argmax(current))
+        if not np.isfinite(current[i]):
+            break  # every program fully grown; leftover units stay unused
+        alloc[i] += 1
+        c = alloc[i]
+        current[i] = gains[i][c] if c < gains[i].size else -np.inf
+    return alloc
+
+
 def _convex_costs(rng, n_prog, size):
     out = []
     for _ in range(n_prog):
@@ -76,3 +100,49 @@ def test_validation():
 
 def test_zero_budget():
     assert sttw_partition([np.zeros(3), np.zeros(3)], 0).tolist() == [0, 0]
+
+
+def test_validation_names_the_problem():
+    with pytest.raises(ValueError, match="at least one cost curve"):
+        sttw_partition([], 0)
+    with pytest.raises(ValueError, match="1-D"):
+        sttw_partition([np.zeros((3, 2))], 1)
+
+
+@st.composite
+def _curve(draw, size):
+    """One cost curve: quantized (frequent ties), plateau-then-cliff, with
+    NaN/±inf entries, or plain floats."""
+    kind = draw(st.sampled_from(["quantized", "cliff", "special", "float"]))
+    if kind == "quantized":
+        vals = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+        return np.array(vals, dtype=np.float64) * 0.5
+    if kind == "cliff":
+        at = draw(st.integers(0, size))
+        high, low = draw(st.integers(1, 20)), draw(st.integers(0, 5))
+        return np.array([float(high)] * at + [float(low)] * (size - at))
+    if kind == "special":
+        elems = st.sampled_from([0.0, 1.0, 2.5, 4.0, np.nan, np.inf, -np.inf])
+        return np.array(draw(st.lists(elems, min_size=size, max_size=size)))
+    floats = st.floats(-1e6, 1e6, allow_nan=False)
+    return np.array(draw(st.lists(floats, min_size=size, max_size=size)))
+
+
+@st.composite
+def _sttw_case(draw):
+    n_prog = draw(st.integers(1, 6))
+    size = draw(st.integers(1, 12))
+    costs = [draw(_curve(size)) for _ in range(n_prog)]
+    budget = draw(st.one_of(st.just(0), st.just(size - 1), st.integers(0, size - 1)))
+    return costs, budget
+
+
+@given(_sttw_case())
+@settings(max_examples=500, deadline=None)
+def test_matches_argmax_oracle(case):
+    costs, budget = case
+    with np.errstate(invalid="ignore"):  # inf - inf gains are NaN
+        got = sttw_partition(costs, budget)
+        want = _sttw_oracle(costs, budget)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
