@@ -62,13 +62,6 @@ def bench_kernel_backends(group_costs, benchmark):
     print(f"\n{'backend':>10s} {'wall':>10s}  (active: {active_kernel()})")
     for name, wall in walls.items():
         print(f"{name:>10s} {wall * 1e3:8.2f}ms")
-    # reference and blocked are always registered; the speedup of the
-    # tiled kernel over the per-row reference is the metric that matters
-    record_metric(
-        "kernel_blocked_speedup_vs_reference",
-        walls["reference"] / walls["blocked"],
-        direction="higher", noisy=True,
-    )
 
 
 def bench_optimal_partition_per_group(group_costs, suite_profile, benchmark):

@@ -15,7 +15,7 @@ RL006  span-context-manager  spans must close even on the exception path
 RL007  no-assert-validation  asserts vanish under ``python -O``
 RL008  picklable-pool-worker sweep workers must pickle and stay functional
 RL009  kernel-registry       min-plus convolutions go through the backend
-                             registry, not the pinned reference kernel
+                             registry, not the pinned tiled kernel
 RL010  policy-integrity      cost curves are compiled from ObjectivePolicy,
                              not hand-assembled from the raw constructors
 RL011  flight-integrity      decision events go through the flight-recorder
@@ -667,23 +667,23 @@ class PoolWorkerRule(Rule):
 
 @register_rule
 class KernelRegistryRule(Rule):
-    """``minplus_convolve`` is the pinned reference, not the dispatcher.
+    """``minplus_convolve`` is the pinned kernel, not the dispatcher.
 
     :func:`repro.core.kernels.convolve` dispatches to whichever backend
     ``REPRO_KERNEL`` / ``repro-cps --kernel`` selected; the historical
     :func:`~repro.core.kernels.minplus_convolve` name always runs the
-    ``reference`` backend.  Production code importing the pinned name
-    silently opts out of the selection (and of every faster backend), so
-    outside ``repro/core`` — where the registry itself lives — only the
-    dispatcher may be imported.  Golden tests that *want* the pinned
-    kernel import it under ``tests/``, which repro-lint does not cover.
+    tiled kernel.  Production code importing the pinned name silently
+    opts out of the selection, so outside ``repro/core`` — where the
+    registry itself lives — only the dispatcher may be imported.  Golden
+    tests that *want* the pinned kernel import it under ``tests/``, which
+    repro-lint does not cover.
     """
 
     id = "RL009"
     name = "kernel-registry"
     contract = "outside repro/core, convolve via the kernel registry"
     node_types = (ast.Import, ast.ImportFrom)
-    # golden tests pin the reference kernel by importing it directly
+    # golden tests pin the tiled kernel by importing it directly
     domains = frozenset({"library", "benchmarks", "scripts"})
 
     _SOURCES: ClassVar[frozenset[str]] = frozenset(
@@ -709,7 +709,7 @@ class KernelRegistryRule(Rule):
             if alias.name == "minplus_convolve":
                 ctx.report(
                     node, self,
-                    "minplus_convolve is the pinned reference kernel and "
+                    "minplus_convolve is the pinned tiled kernel and "
                     "bypasses REPRO_KERNEL / --kernel selection; call "
                     "repro.core.kernels.convolve (the registry dispatcher) "
                     "instead",

@@ -110,6 +110,12 @@ class CorunSolver:
     turns every subsequent fill-window solve into one interpolation lookup —
     the workhorse behind the 1820-group sweep and the partition-sharing
     group-curve construction.
+
+    The sweep reads ``w*`` at ``max_cache`` only, and that lookup reads
+    just the segment bracketing it; so the max-cache solve evaluates the
+    curve on the few knots at or above the largest knot below
+    ``w_cap - 1e-9 · max(w_cap, 1)``, and the full union grid is built on
+    the first query at any other size.
     """
 
     def __init__(self, footprints: Sequence[FootprintCurve], max_cache: int):
@@ -135,39 +141,64 @@ class CorunSolver:
                 v = np.round(np.geomspace(1.0, v_max, _KNOTS_PER_PROGRAM))
                 v = np.concatenate([[0.0], v])
             knots.append(v / r)
-        grid = np.unique(np.concatenate(knots))
-        grid = grid[grid <= w_cap + 1e-9]
-        self._w_grid = grid
-        self._fp_grid = np.asarray(self.composed(grid), dtype=np.float64)
+        self._w_cap = w_cap
+        self._knots = knots
+        self._grid: tuple[np.ndarray, np.ndarray] | None = None
         self._n_accesses = np.array([fp.n for fp in self.footprints], dtype=np.int64)
         # w* at max_cache, solved on first use: the sweep asks for it three
         # times per group (prediction, its fill window, natural units)
         self._w_at_max: float | None = None
 
+    def _knot_grid(self, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        """Union knots in ``[floor, w_cap + 1e-9]`` and the composed curve on them."""
+        grid = np.unique(np.concatenate([k[k >= floor] for k in self._knots]))
+        grid = grid[grid <= self._w_cap + 1e-9]
+        return grid, np.asarray(self.composed(grid), dtype=np.float64)
+
+    def _max_cache_bracket(self) -> tuple[np.ndarray, np.ndarray]:
+        """The knots the interpolation at ``max_cache`` can read.
+
+        The bisection stops with ``hi - lo <= 1e-9 · max(hi, 1)`` and
+        returns the midpoint ``w_cap``, so every knot below
+        ``t = w_cap - 1e-9 · max(w_cap, 1)`` lies below its final ``lo``
+        and, the composed curve being non-decreasing, has a footprint below
+        ``max_cache``.  The search therefore lands at or above the largest
+        such knot, and dropping the knots under it leaves the bracketing
+        segment, the saturation test and the result unchanged, bit for bit.
+        """
+        t = self._w_cap - 1e-9 * max(self._w_cap, 1.0)
+        floor = max(float(np.max(k, where=k < t, initial=-np.inf)) for k in self._knots)
+        return self._knot_grid(floor)
+
     def fill_windows(self, cache_sizes: np.ndarray | float) -> np.ndarray | float:
         """Vectorized ``w*`` solve: combined window filling each cache size."""
         if isinstance(cache_sizes, (float, int)) and cache_sizes == self.max_cache:
             if self._w_at_max is None:
-                self._w_at_max = float(self._solve_windows(float(cache_sizes)))
+                self._w_at_max = float(
+                    self._solve_windows(float(cache_sizes), *self._max_cache_bracket())
+                )
             return self._w_at_max
-        return self._solve_windows(cache_sizes)
+        if self._grid is None:
+            self._grid = self._knot_grid(-np.inf)
+        return self._solve_windows(cache_sizes, *self._grid)
 
-    def _solve_windows(self, cache_sizes: np.ndarray | float) -> np.ndarray | float:
+    def _solve_windows(
+        self, cache_sizes: np.ndarray | float, w_grid: np.ndarray, fp_vals: np.ndarray
+    ) -> np.ndarray | float:
         c = np.asarray(cache_sizes, dtype=np.float64)
         if np.isnan(c).any():
             raise ValueError("cache sizes contain NaN")
         if np.any(c > self.max_cache + 1e-9):
             raise ValueError("cache size exceeds the solver's max_cache")
-        fp_vals = self._fp_grid
         idx = np.searchsorted(fp_vals, c, side="left")
         idx = np.clip(idx, 1, fp_vals.size - 1)
         f_lo, f_hi = fp_vals[idx - 1], fp_vals[idx]
-        w_lo, w_hi = self._w_grid[idx - 1], self._w_grid[idx]
+        w_lo, w_hi = w_grid[idx - 1], w_grid[idx]
         run = f_hi - f_lo
         frac = np.where(run > 0, (c - f_lo) / np.where(run > 0, run, 1.0), 0.0)
         w = w_lo + np.clip(frac, 0.0, 1.0) * (w_hi - w_lo)
         # saturate: cache bigger than the group's data never fills
-        w = np.where(c >= fp_vals[-1], self._w_grid[-1], w)
+        w = np.where(c >= fp_vals[-1], w_grid[-1], w)
         w = np.where(c <= 0, 0.0, w)
         return float(w) if w.ndim == 0 else w
 

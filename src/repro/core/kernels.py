@@ -10,17 +10,15 @@ of the one kernel contract::
 
 Backends (registration order = catalog order):
 
-* ``reference`` — the pinned per-row NumPy kernel (one sliding-window
-  view of reversed-``b``, chunked over output rows).  Every other
-  backend is tested bit-exact against it *and* against the pure-Python
-  :func:`oracle_convolve`;
-* ``blocked``   — 2-D tiling of the candidate matrix: both the output
+* ``blocked`` — 2-D tiling of the candidate matrix: both the output
   index ``k`` and the candidate index ``i`` are tiled, so the scratch is
   bounded at ``tile²`` floats regardless of curve length and the working
-  tile stays cache-resident on long grids;
-* ``oracle``    — the pure-Python double loop.  O(C²) interpreted —
+  tile stays cache-resident on long grids.  The default, and the kernel
+  the pinned :func:`minplus_convolve` runs;
+* ``oracle``  — the pure-Python double loop.  O(C²) interpreted —
   registered so the parity tests and the CI backend matrix can select it
-  like any other backend, but never the default.
+  like any other backend, but never the default.  Every other backend
+  is tested bit-exact against it.
 
 Selection: the active backend is resolved once at import from the
 ``REPRO_KERNEL`` environment variable (unknown names raise), falling
@@ -69,8 +67,6 @@ KernelFn = Callable[[np.ndarray, np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 _KERNELS: "OrderedDict[str, KernelFn]" = OrderedDict()
 _ACTIVE: str = ""
 
-#: Scratch budget of the reference kernel, in float64 cells.
-_REFERENCE_CHUNK_CELLS = 1 << 21
 #: Tile edge of the blocked kernel: 256² doubles = 512 KiB per tile pair.
 _BLOCKED_TILE = 256
 
@@ -78,7 +74,7 @@ _BLOCKED_TILE = 256
 def register_kernel(name: str) -> Callable[[KernelFn], KernelFn]:
     """Class of decorator: add a backend to the catalog under ``name``.
 
-    Names must be unique — a duplicate silently shadowing the reference
+    Names must be unique — a duplicate silently shadowing the oracle
     backend would un-pin the parity tests.
     """
 
@@ -142,41 +138,28 @@ def convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dispatches to whatever :func:`active_kernel` names.  Returns
     ``(out, split)`` where ``split[k]`` is the budget given to ``a`` in
     the optimal split of ``k`` (ties resolved to the smallest
-    ``a``-share, matching ``argmin``'s first-occurrence rule).
+    ``a``-share, matching ``argmin``'s first-occurrence rule).  A ``NaN``
+    operand raises ``ValueError``.
+    """
+    a, b = _operands(a, b)
+    return _KERNELS[_ACTIVE](a, b)
+
+
+def _operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both curves as contiguous float64, checked against the contract.
+
+    ``NaN`` has no place in a (min, +) order: ``argmin`` picks it while a
+    strict ``<`` scan skips it, so backends would disagree on the result.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("cost curves must be 1-D and of equal length")
-    return _KERNELS[_ACTIVE](a, b)
-
-
-# ---------------------------------------------------------------------------
-# reference — the pinned per-row NumPy kernel
-# ---------------------------------------------------------------------------
-
-
-@register_kernel("reference")
-def _reference_convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """O(C²) work, vectorized per output row, O(chunk · C) scratch.
-
-    Row ``k`` of the cost matrix is ``a[i] + b[k-i]``; all rows come
-    from one sliding-window view of reversed-``b`` padded with ``+inf``
-    (the ``i > k`` cells), processed in chunks to bound the scratch.
-    """
-    n = a.size
-    out = np.empty(n, dtype=np.float64)
-    split = np.empty(n, dtype=np.int64)
-    padded = np.concatenate([b[::-1], np.full(n - 1, np.inf)]) if n > 1 else b[::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n)
-    chunk = max(1, _REFERENCE_CHUNK_CELLS // max(n, 1))
-    for start in range(0, n, chunk):
-        ks = np.arange(start, min(start + chunk, n))
-        rows = windows[n - 1 - ks] + a[None, :]
-        idx = np.argmin(rows, axis=1)
-        split[ks] = idx
-        out[ks] = rows[np.arange(ks.size), idx]
-    return out, split
+    for name, curve in (("a", a), ("b", b)):
+        nan = np.isnan(curve)
+        if nan.any():
+            raise ValueError(f"cost curve {name} is NaN at index {int(nan.argmax())}")
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +172,10 @@ def _blocked_convolve_impl(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tile both the output index and the candidate index.
 
-    For an ``i``-tile ``[i0, i1)`` the candidate values of output ``k``
-    are ``a[i] + b[k-i]`` — the same sliding-window view the reference
-    kernel uses, sliced to the tile's columns.  Each tile contributes a
+    Row ``k`` of the candidate matrix is ``a[i] + b[k-i]``; every row is
+    a window of reversed-``b`` padded with ``+inf`` (the ``i > k``
+    cells), so one strided view serves them all, sliced per tile.  For
+    an ``i``-tile ``[i0, i1)`` each tile contributes a
     per-output partial ``(min, argmin)``; merging ascending ``i``-tiles
     with a strict ``<`` preserves the global first-occurrence tie-break
     exactly.  Scratch is bounded at ``tile²`` cells however long the
@@ -201,7 +185,10 @@ def _blocked_convolve_impl(
     out = np.full(n, np.inf, dtype=np.float64)
     split = np.zeros(n, dtype=np.int64)
     padded = np.concatenate([b[::-1], np.full(n - 1, np.inf)]) if n > 1 else b[::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n)
+    step = padded.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        padded, shape=(n, n), strides=(step, step), writeable=False
+    )
     for k0 in range(0, n, tile):
         ks = np.arange(k0, min(k0 + tile, n))
         best = np.full(ks.size, np.inf, dtype=np.float64)
@@ -260,22 +247,18 @@ def oracle_convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 _ACTIVE = detect_kernel(os.environ.get("REPRO_KERNEL"))
 
 
-#: The pinned reference kernel under its historical name.  Importing it
-#: directly bypasses the registry (and therefore ``REPRO_KERNEL`` /
-#: ``--kernel``): production code should call :func:`convolve` instead —
-#: repro-lint's RL009 enforces exactly that outside ``repro/core``.
+#: The tiled kernel under its historical name.  Importing it directly
+#: bypasses the registry (and therefore ``REPRO_KERNEL`` / ``--kernel``):
+#: production code should call :func:`convolve` instead — repro-lint's
+#: RL009 enforces exactly that outside ``repro/core``.
 def minplus_convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min-plus convolution on the pinned ``reference`` backend.
+    """Min-plus convolution on the tiled kernel, whatever backend is active.
 
-    Validates like :func:`convolve` but always runs the reference
-    kernel, whatever backend is active — the stable ground for golden
-    tests and for callers that must not vary with ``REPRO_KERNEL``.
+    Validates like :func:`convolve` — the stable ground for golden tests
+    and for callers that must not vary with ``REPRO_KERNEL``.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("cost curves must be 1-D and of equal length")
-    return _reference_convolve(a, b)
+    a, b = _operands(a, b)
+    return _blocked_convolve_impl(a, b, tile=_BLOCKED_TILE)
 
 
 def register_kernel_metric(

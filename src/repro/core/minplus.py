@@ -12,9 +12,9 @@ pair curves across the 1820 co-run groups (DESIGN.md §5 ablation).
 The convolution itself lives in :mod:`repro.core.kernels` — a registry
 of interchangeable, bit-exact backends selected via ``REPRO_KERNEL`` /
 ``repro-cps --kernel``.  :func:`fold_curves` dispatches through the
-active backend; the re-exported :func:`minplus_convolve` is the pinned
-``reference`` kernel for callers that must not vary with the selection
-(tests, goldens — repro-lint RL009 keeps it out of production paths).
+active backend; the re-exported :func:`minplus_convolve` always runs the
+tiled kernel, for callers that must not vary with the selection (tests,
+goldens — repro-lint RL009 keeps it out of production paths).
 
 Costs are ``float64``; ``+inf`` marks infeasible sizes (used by the
 baseline-constrained optimization, §VI) and propagates correctly.

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.composition.corun import (
+    _KNOTS_PER_PROGRAM,
     CorunSolver,
     natural_partition,
     predict_corun,
     solve_fill_window,
 )
 from repro.composition.stretch import ComposedFootprint, compose_footprints
-from repro.locality.footprint import average_footprint
+from repro.experiments.methodology import ExperimentConfig, build_suite_profile
+from repro.locality.footprint import FootprintCurve, average_footprint
 from repro.workloads import cyclic, sawtooth, uniform_random, zipf
 
 
@@ -242,3 +244,97 @@ def test_nan_cache_size_raises_value_error():
     for bad in (float("nan"), np.array([1.0, np.nan])):
         with pytest.raises(ValueError, match="NaN"):
             solver.fill_windows(bad)
+
+
+# ------------------------------- max-cache bracket vs the full knot grid
+def _full_grid_window(fps, max_cache):
+    """``w*`` at ``max_cache`` the long way: the composed curve on the whole
+    union knot grid, then one interpolation over it."""
+    composed = compose_footprints(fps)
+    w_cap = solve_fill_window(composed, float(max_cache))
+    knots = [np.array([0.0, w_cap])]
+    for fp, r in zip(fps, composed.ratios):
+        v_max = min(fp.n, int(np.ceil(w_cap * r)) + 1)
+        if v_max <= _KNOTS_PER_PROGRAM:
+            v = np.arange(v_max + 1, dtype=np.float64)
+        else:
+            v = np.round(np.geomspace(1.0, v_max, _KNOTS_PER_PROGRAM))
+            v = np.concatenate([[0.0], v])
+        knots.append(v / r)
+    grid = np.unique(np.concatenate(knots))
+    grid = grid[grid <= w_cap + 1e-9]
+    fp_vals = composed(grid)
+    c = float(max_cache)
+    if c >= fp_vals[-1]:
+        return float(grid[-1])
+    i = int(np.clip(np.searchsorted(fp_vals, c, side="left"), 1, grid.size - 1))
+    run = fp_vals[i] - fp_vals[i - 1]
+    frac = (c - fp_vals[i - 1]) / run if run > 0 else 0.0
+    return float(grid[i - 1] + np.clip(frac, 0.0, 1.0) * (grid[i] - grid[i - 1]))
+
+
+def _assert_bracket_exact(fps, max_cache):
+    solver = CorunSolver(fps, max_cache=max_cache)
+    w = solver.fill_windows(max_cache)
+    assert _bits(w) == _bits(_full_grid_window(fps, max_cache))
+    # the lazily built full grid agrees at max_cache too
+    assert _bits(w) == _bits(solver.fill_windows(np.array([float(max_cache)]))[0])
+
+
+def test_max_cache_bracket_matches_full_grid_on_mini_profile(mini_profile):
+    cfg = mini_profile.config
+    for group in combinations(mini_profile.footprints, cfg.group_size):
+        _assert_bracket_exact(group, cfg.cache_blocks)
+
+
+def test_max_cache_bracket_matches_full_grid_on_every_default_group():
+    """All 1820 groups of the §VII-A sweep at its default scale."""
+    cfg = ExperimentConfig()
+    profile = build_suite_profile(cfg)
+    for group in combinations(profile.footprints, cfg.group_size):
+        _assert_bracket_exact(group, cfg.cache_blocks)
+
+
+@st.composite
+def _long_footprints(draw):
+    """Synthetic near-concave footprints, long enough for the log grid."""
+    out = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from([50, 3000, 8000, 20000]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        decay = draw(st.floats(1e-5, 1e-3))
+        steps = np.exp(-decay * np.arange(n)) * rng.random(n)
+        steps[rng.random(n) < 0.3] = 0.0  # plateaus
+        values = np.concatenate([[0.0], np.cumsum(steps)])
+        m = max(1, int(round(values[-1])))
+        values = values * (m / values[-1]) if values[-1] > 0 else values
+        rate = draw(st.floats(0.2, 5.0))
+        out.append(FootprintCurve(values, n=n, m=m, access_rate=rate, name=f"p{i}"))
+    return out
+
+
+@given(
+    _long_footprints(),
+    st.one_of(st.floats(0.0, 0.999), st.floats(1.0, 1.3), st.just(0.9999), st.just(None)),
+)
+@settings(max_examples=80, deadline=None)
+def test_max_cache_bracket_matches_full_grid_on_long_footprints(fps, fill):
+    """Long curves take the geomspace path; ``fill >= 1`` saturates the
+    cache (it exceeds the combined data) and ``None`` pins max_cache = 1."""
+    total = sum(fp.m for fp in fps)
+    max_cache = 1 if fill is None else max(1, int(fill * total))
+    _assert_bracket_exact(fps, max_cache)
+
+
+def test_max_cache_bracket_cases_are_reached():
+    """The long-footprint strategy's corners, pinned deterministically."""
+    values = np.concatenate([[0.0], np.cumsum(np.exp(-1e-4 * np.arange(20000)))])
+    m = int(round(values[-1]))
+    long_fp = FootprintCurve(values * (m / values[-1]), n=20000, m=m, name="long")
+    short = _fps(uniform_random(3000, 200, seed=4))
+    for fps, max_cache in (
+        ([long_fp], m - 1),  # geomspace knots, unsaturated
+        ([long_fp, *short], m + 250),  # saturated: more cache than data
+        ([long_fp, *short], 1),
+    ):
+        _assert_bracket_exact(fps, max_cache)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
+from repro.core.dp import optimal_partition
 from repro.core.kernels import (
     active_kernel,
     convolve,
@@ -29,6 +30,9 @@ from repro.core.kernels import (
 from repro.core.minplus import fold_curves
 
 BACKENDS = kernel_names()
+#: every registered backend, plus the registry-bypassing pinned entry point
+SUBJECTS = {name: get_kernel(name) for name in BACKENDS}
+SUBJECTS["minplus_convolve"] = minplus_convolve
 
 
 def _random_instance(rng, size, inf_fraction, tie_quantum):
@@ -49,8 +53,8 @@ def _random_instance(rng, size, inf_fraction, tie_quantum):
 # --------------------------------------------------------------- registry
 def test_catalog_contains_the_builtin_backends():
     names = kernel_names()
-    assert names[:3] == ("reference", "blocked", "oracle")
-    assert set(names) <= {"reference", "blocked", "oracle"}
+    assert names[:2] == ("blocked", "oracle")
+    assert set(names) <= {"blocked", "oracle"}
 
 
 def test_get_kernel_unknown_name_raises():
@@ -60,7 +64,7 @@ def test_get_kernel_unknown_name_raises():
 
 def test_register_kernel_rejects_duplicates_and_empty_names():
     with pytest.raises(ValueError, match="already registered"):
-        register_kernel("reference")(oracle_convolve)
+        register_kernel("blocked")(oracle_convolve)
     with pytest.raises(ValueError, match="non-empty"):
         register_kernel("")(oracle_convolve)
 
@@ -79,10 +83,12 @@ def test_set_kernel_switches_and_returns_previous():
 
 
 def test_detect_kernel_explicit_name_wins_and_typos_raise():
-    assert detect_kernel("reference") == "reference"
+    assert detect_kernel("blocked") == "blocked"
     assert detect_kernel("oracle") == "oracle"
     with pytest.raises(ValueError, match="unknown kernel backend"):
-        detect_kernel("refrence")  # a typo must not silently fall back
+        detect_kernel("blokced")  # a typo must not silently fall back
+    with pytest.raises(ValueError, match="unknown kernel backend"):
+        detect_kernel("reference")  # the per-row kernel is gone
     # with no explicit choice the default is blocked, never the oracle
     assert detect_kernel(None) == "blocked"
     assert detect_kernel("") == "blocked"
@@ -95,19 +101,36 @@ def test_convolve_validates_shapes():
         convolve(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
-def test_minplus_convolve_is_pinned_to_reference():
+def test_minplus_convolve_is_pinned_to_the_tiled_kernel(monkeypatch):
     """The historical name must not follow the active-backend selection."""
     a = np.array([3.0, 1.0, 0.5])
     b = np.array([4.0, 2.0, 1.0])
+    want_out, want_split = kernels._blocked_convolve_impl(a, b, tile=256)
     before = active_kernel()
     try:
         set_kernel("oracle")
+        # a backend swapped in under the active name is bypassed too
+        monkeypatch.setitem(kernels._KERNELS, "oracle", None)
         out, split = minplus_convolve(a, b)
-        ref_out, ref_split = get_kernel("reference")(a, b)
-        assert out.tobytes() == ref_out.tobytes()
-        assert split.tobytes() == ref_split.tobytes()
+        assert out.tobytes() == want_out.tobytes()
+        assert split.tobytes() == want_split.tobytes()
     finally:
         set_kernel(before)
+
+
+@pytest.mark.parametrize("entry", [convolve, minplus_convolve])
+def test_nan_operands_raise_in_every_entry_point(entry):
+    """NaN has no min-plus order: argmin picks it, a strict < scan skips
+    it, so backends would disagree — both entry points refuse it."""
+    with pytest.raises(ValueError, match="cost curve a is NaN at index 0"):
+        entry(np.array([np.nan, 1.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="cost curve b is NaN at index 2"):
+        entry(np.zeros(3), np.array([0.0, 1.0, np.nan]))
+
+
+def test_nan_cost_curve_raises_instead_of_infeasible():
+    with pytest.raises(ValueError, match="NaN"):
+        optimal_partition([np.array([np.nan, 1.0, 0.0]), np.array([0.0, 1.0, 2.0])], 2)
 
 
 def test_kernel_backend_info_metric():
@@ -122,7 +145,7 @@ def test_kernel_backend_info_metric():
 
 
 # ----------------------------------------------------------------- parity
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SUBJECTS)
 @given(
     st.integers(1, 48),
     st.integers(0, 10**9),
@@ -135,27 +158,27 @@ def test_backend_bit_exact_vs_oracle(backend, size, seed, inf_fraction, tie_quan
     rng = np.random.default_rng(seed)
     a, b = _random_instance(rng, size, inf_fraction, tie_quantum)
     want_out, want_split = oracle_convolve(a, b)
-    got_out, got_split = get_kernel(backend)(a, b)
+    got_out, got_split = SUBJECTS[backend](a, b)
     assert got_out.tobytes() == want_out.tobytes(), backend
     assert got_split.tobytes() == want_split.tobytes(), backend
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SUBJECTS)
 def test_backend_all_inf_rows_report_split_zero(backend):
     """An all-infeasible output cell reports split 0 in every backend."""
     a = np.array([np.inf, np.inf, np.inf])
     b = np.array([np.inf, 1.0, np.inf])
-    out, split = get_kernel(backend)(a, b)
+    out, split = SUBJECTS[backend](a, b)
     assert np.all(np.isinf(out))
     assert split.tolist() == [0, 0, 0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SUBJECTS)
 def test_backend_constant_curves_tie_everywhere(backend):
     """Flat curves tie at every i; the split must always be 0."""
     a = np.full(16, 2.5)
     b = np.full(16, 2.5)
-    out, split = get_kernel(backend)(a, b)
+    out, split = SUBJECTS[backend](a, b)
     assert np.all(out == 5.0)
     assert np.all(split == 0)
 
