@@ -11,10 +11,12 @@ of the one kernel contract::
 Backends (registration order = catalog order):
 
 * ``blocked`` — 2-D tiling of the candidate matrix: both the output
-  index ``k`` and the candidate index ``i`` are tiled, so the scratch is
-  bounded at ``tile²`` floats regardless of curve length and the working
-  tile stays cache-resident on long grids.  The default, and the kernel
-  the pinned :func:`minplus_convolve` runs;
+  index ``k`` and the candidate index ``i`` are tiled.  Each tile is a
+  basic slice of one strided view of reversed ``b`` (no gather), summed
+  with ``a`` in a single ``tile²`` scratch buffer per call, so memory
+  stays bounded however long the curves are and the working tile stays
+  cache-resident on long grids.  The default, and the kernel the
+  pinned :func:`minplus_convolve` runs;
 * ``oracle``  — the pure-Python double loop.  O(C²) interpreted —
   registered so the parity tests and the CI backend matrix can select it
   like any other backend, but never the default.  Every other backend
@@ -170,41 +172,56 @@ def _operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _blocked_convolve_impl(
     a: np.ndarray, b: np.ndarray, *, tile: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tile both the output index and the candidate index.
+    """Tile both the output index and the candidate index, allocation-free.
 
-    Row ``k`` of the candidate matrix is ``a[i] + b[k-i]``; every row is
-    a window of reversed-``b`` padded with ``+inf`` (the ``i > k``
-    cells), so one strided view serves them all, sliced per tile.  For
-    an ``i``-tile ``[i0, i1)`` each tile contributes a
-    per-output partial ``(min, argmin)``; merging ascending ``i``-tiles
-    with a strict ``<`` preserves the global first-occurrence tie-break
-    exactly.  Scratch is bounded at ``tile²`` cells however long the
-    curves are, so the working pair of tiles stays cache-resident.
+    Row ``k`` of the candidate matrix is ``a[i] + b[k-i]``: a window of
+    reversed-``b`` padded with ``+inf`` (the ``i > k`` cells), so one
+    strided view serves every row, and its row-reversal puts row ``k``
+    at index ``k``.  A ``[k0, k1) × [i0, i1)`` tile of that view is a
+    basic slice, not a gather: it is copied into one ``tile²`` scratch
+    buffer allocated once per call, ``a[i0:i1]`` is added in place, and
+    the per-row ``argmin`` of the scratch gives the tile's partial
+    ``(min, argmin)``.  The first ``i``-tile of a ``k``-tile writes
+    ``out``/``split`` directly; later ones merge in ascending ``i``
+    order with a strict ``<``, which preserves the global
+    first-occurrence tie-break exactly (an all-``+inf`` row keeps
+    ``split = 0`` from the first tile).  The scratch stays
+    cache-resident however long the curves are, and no result aliases
+    it.
     """
     n = a.size
-    out = np.full(n, np.inf, dtype=np.float64)
-    split = np.zeros(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.float64)
+    split = np.empty(n, dtype=np.int64)
     padded = np.concatenate([b[::-1], np.full(n - 1, np.inf)]) if n > 1 else b[::-1]
     step = padded.strides[0]
-    windows = np.lib.stride_tricks.as_strided(
+    # rows[k, i] = b[k - i] for i <= k, +inf above the diagonal
+    rows = np.lib.stride_tricks.as_strided(
         padded, shape=(n, n), strides=(step, step), writeable=False
-    )
+    )[::-1]
+    side = min(tile, n)
+    scratch = np.empty(side * side, dtype=np.float64)
     for k0 in range(0, n, tile):
-        ks = np.arange(k0, min(k0 + tile, n))
-        best = np.full(ks.size, np.inf, dtype=np.float64)
-        arg = np.zeros(ks.size, dtype=np.int64)
-        # candidates i > k are +inf padding; the last useful tile is the
-        # one containing max(ks)
-        for i0 in range(0, int(ks[-1]) + 1, tile):
-            i1 = min(i0 + tile, int(ks[-1]) + 1)
-            rows = windows[n - 1 - ks, i0:i1] + a[None, i0:i1]
-            idx = np.argmin(rows, axis=1)
-            vals = rows[np.arange(ks.size), idx]
-            upd = vals < best  # strict: earlier tiles keep equal minima
-            best[upd] = vals[upd]
-            arg[upd] = idx[upd] + i0
-        out[ks] = best
-        split[ks] = arg
+        k1 = min(k0 + tile, n)
+        best = out[k0:k1]
+        arg = split[k0:k1]
+        # candidates i >= k1 are +inf padding in every row of this tile
+        for i0 in range(0, k1, tile):
+            i1 = min(i0 + tile, k1)
+            width = i1 - i0
+            cand = scratch[: best.size * width].reshape(best.size, width)
+            # copying the slice, then adding in place, beats one strided
+            # broadcast add; the sum is the same b[k-i] + a[i] either way
+            np.copyto(cand, rows[k0:k1, i0:i1])
+            np.add(cand, a[i0:i1], out=cand)
+            idx = cand.argmin(axis=1)
+            vals = scratch[idx + np.arange(0, cand.size, width)]
+            if i0 == 0:
+                best[:] = vals
+                arg[:] = idx
+            else:
+                upd = vals < best  # strict: earlier tiles keep equal minima
+                best[upd] = vals[upd]
+                arg[upd] = idx[upd] + i0
     return out, split
 
 

@@ -25,6 +25,7 @@ from repro.locality.phases import (
     epoch_working_sets,
 )
 from repro.locality.reuse import (
+    ReuseCarry,
     ReuseProfile,
     batch_previous_positions,
     first_last_positions,
@@ -55,6 +56,7 @@ __all__ = [
     "epoch_working_sets",
     "bursty_footprint",
     "sample_bursts",
+    "ReuseCarry",
     "ReuseProfile",
     "batch_previous_positions",
     "first_last_positions",

@@ -24,6 +24,7 @@ from repro.workloads.trace import Trace
 
 __all__ = [
     "previous_occurrence",
+    "ReuseCarry",
     "batch_previous_positions",
     "reuse_intervals",
     "reuse_time_histogram",
@@ -62,27 +63,54 @@ def previous_occurrence(trace: Trace | np.ndarray) -> np.ndarray:
     return prev
 
 
+class ReuseCarry:
+    """Per-block state a stream carries from one batch to the next.
+
+    Each block seen so far has a column in one ``(3, ·)`` int64 table:
+    row 0 its id (ascending), row 1 its last global position, row 2 its
+    first global position (the prefix-gap input of the footprint
+    formula).  A sorted table instead of dicts lets
+    :func:`batch_previous_positions` look a whole batch up with one
+    ``searchsorted``, update ``last`` in place and merge the batch's new
+    blocks in with one copy of the table.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self) -> None:
+        self.table = np.empty((3, 0), dtype=np.int64)
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, last, first)`` of every carried block, keys ascending.
+
+        The rows are views of the carry's table: read them only.
+        """
+        keys, last, first = self.table
+        return keys, last, first
+
+    def __len__(self) -> int:
+        return int(self.table.shape[1])
+
+
 def batch_previous_positions(
-    blocks: np.ndarray,
-    positions: np.ndarray,
-    last_seen: dict[int, int],
-    first_seen: dict[int, int] | None = None,
+    blocks: np.ndarray, positions: np.ndarray, carry: ReuseCarry
 ) -> np.ndarray:
     """Previous global position of each access, carrying state across batches.
 
     The incremental-update hook behind the streaming profiler
     (:mod:`repro.online.profiler`): ``blocks[i]`` was accessed at global
-    stream position ``positions[i]``; the returned array holds the global
-    position of the previous access to the same block, or ``-1`` for a
-    stream-first access.  ``last_seen`` (block → last global position) is
-    updated in place so the next batch continues seamlessly; pass
-    ``first_seen`` to also record each block's first global position (the
-    prefix-gap input of the footprint formula).
+    stream position ``positions[i]`` (non-negative, increasing across
+    batches); the returned array holds the global position of the
+    previous access to the same block, or ``-1`` for a stream-first
+    access.  ``carry`` is updated in place so the next batch continues
+    seamlessly: each carried block's ``last`` moves to its batch-last
+    position and a stream-first block is merged in with its ``first``.
 
     Reuses within the batch are resolved vectorized (the stable-argsort
-    trick of :func:`previous_occurrence`); only the first occurrence of
-    each distinct block per batch touches the carry dict, so the Python
-    cost is O(distinct blocks per batch), not O(accesses).
+    trick of :func:`previous_occurrence`); the batch's distinct blocks
+    meet the carry in one ``searchsorted``, so there is no per-block
+    Python work.  Merging new blocks copies the whole table, so a batch
+    that brings any costs O(carried blocks).
     """
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     positions = np.ascontiguousarray(positions, dtype=np.int64)
@@ -94,24 +122,40 @@ def batch_previous_positions(
         return prev
     order = np.argsort(blocks, kind="stable")
     sorted_blocks = blocks[order]
-    same_as_left = np.empty(k, dtype=bool)
-    same_as_left[0] = False
-    np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=same_as_left[1:])
-    prev[order[same_as_left]] = positions[order[np.flatnonzero(same_as_left) - 1]]
-    # batch-first occurrences consult (and seed) the carry state
-    for i in order[~same_as_left]:
-        b = int(blocks[i])
-        carried = last_seen.get(b, -1)
-        if carried >= 0:
-            prev[i] = carried
-        elif first_seen is not None:
-            first_seen[b] = int(positions[i])
-    # batch-last occurrence of each distinct block becomes the new carry
-    is_last = np.empty(k, dtype=bool)
-    is_last[-1] = True
-    np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=is_last[:-1])
-    for i in order[is_last]:
-        last_seen[int(blocks[i])] = int(positions[i])
+    sorted_positions = positions[order]
+    # head[j]: sorted slot j is its block's batch-first occurrence, so
+    # head[j + 1] marks slot j as the batch-last one
+    head = np.empty(k + 1, dtype=bool)
+    head[0] = head[k] = True
+    np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=head[1:k])
+    repeat = ~head[1:k]
+    prev[order[1:][repeat]] = sorted_positions[:-1][repeat]
+    uniq = sorted_blocks[head[:k]]
+    firsts = order[head[:k]]
+    lasts = sorted_positions[head[1:]]
+    # batch-first occurrences consult (and seed) the carry
+    table = carry.table
+    loc = np.searchsorted(table[0], uniq)
+    if table.shape[1]:
+        found = table[0].take(loc, mode="clip") == uniq
+    else:
+        found = np.zeros(uniq.size, dtype=bool)
+    at = loc[found]
+    prev[firsts[found]] = table[1, at]
+    table[1, at] = lasts[found]
+    fresh = ~found
+    if fresh.any():
+        # the j-th new key lands after the carried keys below it and the
+        # j new keys before it
+        dest = loc[fresh] + np.arange(int(fresh.sum()))
+        merged = np.empty((3, table.shape[1] + dest.size), dtype=np.int64)
+        old = np.ones(merged.shape[1], dtype=bool)
+        old[dest] = False
+        merged[:, old] = table
+        merged[0, dest] = uniq[fresh]
+        merged[1, dest] = lasts[fresh]
+        merged[2, dest] = positions[firsts[fresh]]
+        carry.table = merged
     return prev
 
 

@@ -357,6 +357,15 @@ class OnlineController:
                 f"batch for {name!r} must hold integer block ids, "
                 f"got dtype {arr.dtype}"
             )
+        if (
+            arr.size
+            and np.issubdtype(arr.dtype, np.unsignedinteger)
+            and arr.max() > np.iinfo(np.int64).max
+        ):
+            raise ValueError(
+                f"batch for {name!r} holds block id {arr.max()}, "
+                "beyond the int64 range of block ids"
+            )
         arr = np.ascontiguousarray(arr, dtype=np.int64)
         if arr.size and arr.min() < 0:
             raise ValueError(f"batch for {name!r} contains negative block ids")

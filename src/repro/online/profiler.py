@@ -3,9 +3,11 @@
 The offline pipeline needs the whole trace to build a gap histogram and
 from it the average footprint (Eq. 5).  The streaming profiler maintains
 the same histogram *incrementally*: each batch of accesses updates a
-per-block last-seen table (:func:`repro.locality.reuse.batch_previous_positions`)
-and a running histogram of closed gaps; prefix and suffix gaps are
-reconstructed from the live table at snapshot time.  Nothing proportional
+per-block carry of sorted ids with first/last positions
+(:class:`repro.locality.reuse.ReuseCarry`, advanced by
+:func:`repro.locality.reuse.batch_previous_positions`) and a running
+histogram of closed gaps; prefix and suffix gaps are reconstructed from
+the carry at snapshot time.  Nothing proportional
 to the stream length is ever stored.
 
 Spatial sampling follows SHARDS (Waldspurger et al., FAST'15): a block is
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro.locality.footprint import FootprintCurve, footprint_from_gaps
 from repro.locality.mrc import MissRatioCurve
-from repro.locality.reuse import batch_previous_positions
+from repro.locality.reuse import ReuseCarry, batch_previous_positions
 from repro.workloads.trace import Trace
 
 __all__ = ["StreamingProfiler"]
@@ -98,8 +100,7 @@ class StreamingProfiler:
         """Forget all observations (start a fresh profiling window)."""
         self._n = 0
         self._kept = 0
-        self._last_seen: dict[int, int] = {}
-        self._first_seen: dict[int, int] = {}
+        self._carry = ReuseCarry()
         self._gap_hist = np.zeros(1, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -115,15 +116,22 @@ class StreamingProfiler:
 
     @property
     def distinct_sampled(self) -> int:
-        return len(self._last_seen)
+        return len(self._carry)
 
     # ------------------------------------------------------------------
     def observe(self, accesses: Trace | np.ndarray) -> int:
-        """Ingest one batch of accesses; returns how many were sampled."""
-        blocks = accesses.blocks if isinstance(accesses, Trace) else accesses
-        blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+        """Ingest one batch of accesses; returns how many were sampled.
+
+        Block ids must have an integer dtype: a non-empty float or bool
+        batch raises ``ValueError`` rather than being truncated onto other
+        ids.
+        """
+        blocks = np.asarray(accesses.blocks if isinstance(accesses, Trace) else accesses)
         if blocks.ndim != 1:
             raise ValueError("a batch must be a 1-D block array")
+        if blocks.size and not np.issubdtype(blocks.dtype, np.integer):
+            raise ValueError(f"a batch must hold integer block ids, got dtype {blocks.dtype}")
+        blocks = np.ascontiguousarray(blocks, dtype=np.int64)
         start = self._n
         self._n += blocks.size
         if blocks.size == 0:
@@ -138,10 +146,9 @@ class StreamingProfiler:
         self._kept += sampled.size
         if sampled.size == 0:
             return 0
-        prev = batch_previous_positions(
-            sampled, positions, self._last_seen, self._first_seen
-        )
-        gaps = positions[prev >= 0] - prev[prev >= 0] - 1
+        prev = batch_previous_positions(sampled, positions, self._carry)
+        reused = prev >= 0
+        gaps = positions[reused] - prev[reused] - 1
         self._accumulate(gaps[gaps > 0])
         return int(sampled.size)
 
@@ -158,11 +165,8 @@ class StreamingProfiler:
     # ------------------------------------------------------------------
     def _full_gap_hist(self) -> np.ndarray:
         """Closed gaps + open prefix/suffix gaps of the live blocks."""
-        n = self._n
-        prefix = np.fromiter(self._first_seen.values(), dtype=np.int64, count=len(self._first_seen))
-        suffix = (n - 1) - np.fromiter(
-            self._last_seen.values(), dtype=np.int64, count=len(self._last_seen)
-        )
+        _, last, prefix = self._carry.rows()
+        suffix = (self._n - 1) - last
         open_gaps = np.concatenate([prefix[prefix > 0], suffix[suffix > 0]])
         size = max(self._gap_hist.size, int(open_gaps.max()) + 1 if open_gaps.size else 1)
         hist = np.zeros(size, dtype=np.float64)
@@ -178,10 +182,10 @@ class StreamingProfiler:
         behaves like a (shorter) full profile downstream, exactly as the
         bursty sampler's output does.
         """
-        if self._n == 0 or not self._last_seen:
+        if self._n == 0 or self.distinct_sampled == 0:
             return None
         scale = 1.0 / self.sampling_rate
-        m_hat = len(self._last_seen) * scale
+        m_hat = self.distinct_sampled * scale
         w_cap = max_window if max_window is not None else self.max_window
         values = footprint_from_gaps(
             self._full_gap_hist() * scale, self._n, m_hat, max_window=w_cap

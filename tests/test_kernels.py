@@ -195,6 +195,48 @@ def test_blocked_kernel_tile_boundaries():
             assert got_split.tobytes() == want_split.tobytes(), (size, tile)
 
 
+def _production_instances(n):
+    """Curve pairs that stress the 256-wide tiles at grid ``n``.
+
+    Quantized values tie across tile edges (a sawtooth of period 256
+    repeats each minimum in every ``i``-tile), ``+inf`` prefixes make the
+    first output rows all-``+inf`` (split 0), and scattered ``+inf``
+    cells put infeasible candidates inside otherwise finite rows.
+    """
+    rng = np.random.default_rng(n)
+    a, b = _random_instance(rng, n, 0.1, 2.0)
+    a[:3] = np.inf
+    b[:5] = np.inf
+    saw = (np.arange(n) % 256 // 64).astype(np.float64)
+    flat = np.where(rng.random(n) < 0.05, np.inf, 1.0)
+    return [(a, b), (saw, saw[::-1].copy()), (saw, flat)]
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 511, 513, 1025])
+def test_production_tile_parity_with_oracle(n):
+    """The 256 tile, bit for bit, incl. 1025's one-row trailing k-tile."""
+    subjects = {
+        "blocked": lambda a, b: kernels._blocked_convolve_impl(a, b, tile=256),
+        "convolve": convolve,
+    }
+    for a, b in _production_instances(n):
+        a_in, b_in = a.copy(), b.copy()
+        want_out, want_split = oracle_convolve(a, b)
+        if np.isinf(a[0]) and np.isinf(b[0]):
+            assert np.isinf(want_out[0]) and want_split[0] == 0
+        for name, fn in subjects.items():
+            out, split = fn(a, b)
+            assert out.tobytes() == want_out.tobytes(), (n, name)
+            assert split.tobytes() == want_split.tobytes(), (n, name)
+            # the operands are read, never written
+            assert a.tobytes() == a_in.tobytes() and b.tobytes() == b_in.tobytes()
+            # a second call, whose results differ, must not write into
+            # the first call's
+            kept_out, kept_split = out.tobytes(), split.tobytes()
+            fn(a + 1.0, b[::-1].copy())
+            assert out.tobytes() == kept_out and split.tobytes() == kept_split, (n, name)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fold_curves_identical_under_every_backend(backend):
     """The whole DP — totals, splits, allocation — is backend-invariant."""

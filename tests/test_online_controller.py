@@ -294,6 +294,15 @@ def test_ingest_strict_input_validation():
         ctrl.ingest([np.array([1.5, 2.5])])
     with pytest.raises(ValueError, match="negative"):
         ctrl.ingest([np.array([3, -1])])
+    # a uint64 id past 2^63 - 1 would wrap negative in the int64 cast;
+    # the fault is the range, not the sign
+    with pytest.raises(ValueError, match=r"block id 9223372036854775808, beyond the int64 range"):
+        ctrl.ingest([np.array([3, 2**63], dtype=np.uint64)])
+    ctrl.ingest([np.array([3, 2**63 - 1], dtype=np.uint64)])
+    assert ctrl.metrics.accesses_seen == 2
+    ctrl = OnlineController(1, _exact_config(8, 10))
+    with pytest.raises(ValueError, match="bool"):
+        ctrl.ingest([np.array([True, False])])
     # a rejected batch must not have mutated any state
     assert ctrl.metrics.accesses_seen == 0 and ctrl.buffered_accesses == 0
 
