@@ -109,6 +109,24 @@ def bench_footprint_profiling(suite_profile, benchmark):
     assert fp.n == len(trace)
 
 
+def bench_footprint_profiling_wide(suite_profile, benchmark):
+    """:func:`bench_footprint_profiling` on ids spread past the radix cut-off.
+
+    The same accesses with every id scaled by 2**20, so the id span is
+    at least 65,536 and the grouping sort takes the int64 path instead of
+    the uint16 radix sort; the curve must not change.
+    """
+    from repro.locality.footprint import average_footprint
+    from repro.workloads.spec import make_program
+    from repro.workloads.trace import Trace
+
+    narrow = make_program("mcf", suite_profile.config.cache_blocks)
+    trace = Trace(narrow.blocks << 20, narrow.name, narrow.access_rate)
+    assert int(trace.blocks.max() - trace.blocks.min()) >= 1 << 16
+    fp = benchmark(average_footprint, trace)
+    assert np.array_equal(fp.values, average_footprint(narrow).values)
+
+
 def bench_ablation_pair_memoization(suite_profile, benchmark):
     """DESIGN.md ablation: FoldCache pair-curve reuse vs direct folds.
 

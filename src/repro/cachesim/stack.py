@@ -30,24 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.locality.reuse import previous_occurrence
+from repro.locality.reuse import as_block_ids, previous_occurrence
 from repro.workloads.trace import Trace
 
 __all__ = ["stack_distances", "COLD"]
 
 COLD: int = -1
 """Sentinel stack distance for a first (compulsory-miss) access."""
-
-
-def _blocks(trace: Trace | np.ndarray) -> np.ndarray:
-    if isinstance(trace, Trace):
-        return trace.blocks
-    arr = np.asarray(trace)
-    if arr.ndim != 1:
-        raise ValueError(f"trace must be 1-D block ids, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"trace must hold integer block ids, got dtype {arr.dtype}")
-    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 def stack_distances(trace: Trace | np.ndarray) -> np.ndarray:
@@ -58,7 +47,7 @@ def stack_distances(trace: Trace | np.ndarray) -> np.ndarray:
     Raises :class:`ValueError` for an array that is not 1-D or not of an
     integer dtype.
     """
-    blocks = _blocks(trace)
+    blocks = as_block_ids(trace)
     n = int(blocks.size)
     prev = previous_occurrence(blocks)
     dist = np.full(n, COLD, dtype=np.int64)

@@ -39,6 +39,7 @@ The global ``--kernel <name>`` flag selects the min-plus kernel backend
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -1004,7 +1005,15 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    return args.func(args)
+    try:
+        rc = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``repro-cps serve | head``): send what is
+        # still buffered to devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return rc
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.locality.reuse import previous_occurrence, reuse_profile
+from repro.locality.reuse import as_block_ids, previous_occurrence, reuse_profile
 from repro.workloads.trace import Trace
 
 __all__ = [
@@ -213,7 +213,7 @@ def windowed_wss(trace: Trace | np.ndarray, w: int) -> np.ndarray:
     ``s`` iff its previous occurrence is before ``s``; summing the new
     elements per window with a difference array gives all counts at once.
     """
-    blocks = trace.blocks if isinstance(trace, Trace) else np.ascontiguousarray(trace, np.int64)
+    blocks = as_block_ids(trace)
     n = blocks.size
     if not 1 <= w <= n:
         raise ValueError(f"window length must be in [1, {n}], got {w}")
@@ -235,7 +235,7 @@ def wss_curve_direct(trace: Trace | np.ndarray) -> np.ndarray:
 
     Only for testing on small traces.
     """
-    blocks = trace.blocks if isinstance(trace, Trace) else np.ascontiguousarray(trace, np.int64)
+    blocks = as_block_ids(trace)
     n = blocks.size
     out = np.zeros(n + 1, dtype=np.float64)
     for w in range(1, n + 1):

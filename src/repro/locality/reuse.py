@@ -23,6 +23,7 @@ import numpy as np
 from repro.workloads.trace import Trace
 
 __all__ = [
+    "as_block_ids",
     "previous_occurrence",
     "ReuseCarry",
     "batch_previous_positions",
@@ -34,32 +35,69 @@ __all__ = [
     "reuse_profile",
 ]
 
+#: an id span below this is sorted as ``uint16`` keys, which NumPy's
+#: stable sort orders with an O(n) radix sort
+_RADIX_SPAN = 1 << 16
 
-def _as_blocks(trace: Trace | np.ndarray) -> np.ndarray:
+
+def as_block_ids(trace: Trace | np.ndarray) -> np.ndarray:
+    """Block ids of ``trace`` as a contiguous 1-D ``int64`` array.
+
+    A :class:`Trace` hands over its (already validated) ids.  A bare
+    array must be 1-D and of an integer dtype: float ids would be
+    truncated silently and bools are not block ids, so anything else
+    raises :class:`ValueError`.
+    """
     if isinstance(trace, Trace):
         return trace.blocks
-    return np.ascontiguousarray(trace, dtype=np.int64)
+    arr = np.asarray(trace)
+    if arr.ndim != 1:
+        raise ValueError(f"trace must be 1-D block ids, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"trace must hold integer block ids, got dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+def _group(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal ids with one stable sort: ``(order, head)``.
+
+    ``order`` lists the positions by ascending id and, within an id (the
+    sort is stable), in access order.  ``head`` has ``n + 1`` entries:
+    ``head[j]`` marks sorted slot ``j`` as its id's first access and
+    ``head[n]`` is set, so ``head[j + 1]`` marks slot ``j`` as its id's
+    last.  Every reuse statistic of this module is read off these two
+    arrays.  An id span under :data:`_RADIX_SPAN` (taken in Python ints,
+    so ids spanning all of ``int64`` cannot overflow it) sorts the ids
+    offset by their minimum as ``uint16``: same order, O(n) radix sort.
+    """
+    n = blocks.size
+    head = np.ones(n + 1, dtype=bool)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), head
+    low = blocks.min()
+    keys = blocks
+    if int(blocks.max()) - int(low) < _RADIX_SPAN:
+        keys = (blocks - low).astype(np.uint16)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:n])
+    return order, head
 
 
 def previous_occurrence(trace: Trace | np.ndarray) -> np.ndarray:
     """Index of the previous access to the same block, or -1 for a first access.
 
-    Runs in O(n log n) via a stable argsort (grouping equal ids while
-    preserving access order inside each group).
+    One stable sort groups equal ids with access order kept inside each
+    group (:func:`_group`): O(n) radix when the id span is under 65,536,
+    O(n log n) otherwise.
     """
-    blocks = _as_blocks(trace)
-    n = blocks.size
+    order, head = _group(as_block_ids(trace))
+    n = order.size
     prev = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return prev
-    order = np.argsort(blocks, kind="stable")
-    sorted_blocks = blocks[order]
-    same_as_left = np.empty(n, dtype=bool)
-    same_as_left[0] = False
-    np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=same_as_left[1:])
     # within each id-group, order[] is increasing by position (stable sort),
     # so the left neighbour in the sorted view is the previous occurrence.
-    prev[order[same_as_left]] = order[np.flatnonzero(same_as_left) - 1]
+    repeat = ~head[1:n]
+    prev[order[1:][repeat]] = order[:-1][repeat]
     return prev
 
 
@@ -164,8 +202,7 @@ def reuse_intervals(trace: Trace | np.ndarray) -> np.ndarray:
 
     The paper's reuse *time* (Eq. 4) is ``r + 1``.
     """
-    blocks = _as_blocks(trace)
-    prev = previous_occurrence(blocks)
+    prev = previous_occurrence(trace)
     idx = np.flatnonzero(prev >= 0)
     return idx - prev[idx]
 
@@ -177,10 +214,7 @@ def reuse_time_histogram(trace: Trace | np.ndarray) -> np.ndarray:
     and 1 are always zero (a reuse time is at least 2: the pair occupies a
     window of at least two accesses).
     """
-    intervals = reuse_intervals(trace)
-    rts = intervals + 1
-    size = int(rts.max()) + 1 if rts.size else 2
-    return np.bincount(rts, minlength=max(size, 2))
+    return reuse_profile(trace).reuse_time_hist
 
 
 def first_last_positions(trace: Trace | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,18 +222,8 @@ def first_last_positions(trace: Trace | np.ndarray) -> tuple[np.ndarray, np.ndar
 
     Returns ``(first, last)`` aligned with ``numpy.unique`` order of ids.
     """
-    blocks = _as_blocks(trace)
-    if blocks.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    _, inverse = np.unique(blocks, return_inverse=True)
-    m = int(inverse.max()) + 1
-    positions = np.arange(blocks.size, dtype=np.int64)
-    first = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
-    last = np.full(m, -1, dtype=np.int64)
-    np.minimum.at(first, inverse, positions)
-    np.maximum.at(last, inverse, positions)
-    return first, last
+    order, head = _group(as_block_ids(trace))
+    return order[head[:-1]], order[head[1:]]
 
 
 def gap_histogram(trace: Trace | np.ndarray) -> np.ndarray:
@@ -215,18 +239,7 @@ def gap_histogram(trace: Trace | np.ndarray) -> np.ndarray:
     Returns ``G`` with ``G[g]`` = number of gaps of length ``g`` (``g >= 1``;
     zero-length gaps are dropped as they never contain a window).
     """
-    blocks = _as_blocks(trace)
-    n = blocks.size
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    internal = reuse_intervals(blocks) - 1
-    first, last = first_last_positions(blocks)
-    prefix = first
-    suffix = (n - 1) - last
-    gaps = np.concatenate([internal, prefix, suffix])
-    gaps = gaps[gaps > 0]
-    size = int(gaps.max()) + 1 if gaps.size else 1
-    return np.bincount(gaps, minlength=size)
+    return reuse_profile(trace).gap_hist
 
 
 @dataclass(frozen=True)
@@ -249,13 +262,25 @@ class ReuseProfile:
 
 
 def reuse_profile(trace: Trace | np.ndarray) -> ReuseProfile:
-    """Compute all reuse statistics needed by the footprint analysis."""
-    blocks = _as_blocks(trace)
+    """Compute all reuse statistics needed by the footprint analysis.
+
+    One grouping sort (:func:`_group`) yields both histograms and ``m``.
+    """
+    blocks = as_block_ids(trace)
     n = int(blocks.size)
-    m = int(np.unique(blocks).size) if n else 0
-    return ReuseProfile(
-        n=n,
-        m=m,
-        reuse_time_hist=reuse_time_histogram(blocks),
-        gap_hist=gap_histogram(blocks),
+    order, head = _group(blocks)
+    # consecutive sorted slots of one id are a reuse pair: r = j - i
+    intervals = np.diff(order)[~head[1:n]]
+    rt_hist = np.bincount(intervals + 1, minlength=2)
+    if n == 0:
+        return ReuseProfile(0, 0, rt_hist, np.zeros(1, dtype=np.int64))
+    first = order[head[:n]]
+    suffix = (n - 1) - order[head[1:]]
+    # an internal gap is r - 1 = rt - 2 long, so its counts are
+    # rt_hist[2:]; the prefix (first) and suffix gaps are counted here
+    gap_hist = np.bincount(
+        np.concatenate([first, suffix]), minlength=rt_hist.size - 2
     )
+    gap_hist[: rt_hist.size - 2] += rt_hist[2:]
+    gap_hist[0] = 0  # a zero-length gap holds no window
+    return ReuseProfile(n=n, m=int(first.size), reuse_time_hist=rt_hist, gap_hist=gap_hist)

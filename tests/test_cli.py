@@ -126,3 +126,36 @@ def test_study_trace_out_and_cache_stats(tmp_path, capsys, monkeypatch):
     assert "hit ratio" in out
     names = {json.loads(ln)["name"] for ln in trace_path.read_text().splitlines()}
     assert {"sweep.chunk", "solver.evaluate"} <= names
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_serve_into_closed_pipe_exits_quietly(unbuffered):
+    """``repro-cps serve | head`` ends quietly once the reader leaves.
+
+    Unbuffered, the header line arrives before the replay runs, so closing
+    after it makes the per-epoch ``print`` hit the closed pipe; buffered,
+    closing before anything arrives makes the final flush hit it.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--workload", "steady"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    if unbuffered:
+        assert proc.stdout.readline().startswith(b"Serving the steady workload")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr

@@ -192,3 +192,20 @@ def test_nan_window_raises_value_error():
         for bad in (float("nan"), np.float64("nan"), np.array([1.0, np.nan])):
             with pytest.raises(ValueError, match="NaN"):
                 _FP(bad)
+
+
+#: blake2b-128 over ``mini_profile``'s footprints, in suite order: each
+#: curve's ``values`` (int64 view) followed by ``n`` and ``m`` as int64.
+#: A bit of drift anywhere in the footprint path changes it, before any
+#: MRC resampling could hide or blur the change.
+MINI_FOOTPRINT_DIGEST = "c4f6038d6bc746b22090357fd83a33ec"
+
+
+def test_mini_profile_footprints_are_pinned(mini_profile):
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=16)
+    for fp in mini_profile.footprints:
+        h.update(np.ascontiguousarray(fp.values).view(np.int64).tobytes())
+        h.update(np.array([fp.n, fp.m], dtype=np.int64).tobytes())
+    assert h.hexdigest() == MINI_FOOTPRINT_DIGEST
